@@ -8,7 +8,9 @@
 // >1M sites per scan) through an IngestServer with a different shard count
 // and reports sustained frames/s, Msites/s, wire MB/s, and the p99
 // end-to-end latency (producer encode -> shard aggregator) from the
-// tsvpt_agg_e2e_latency_seconds histogram.
+// tsvpt_agg_e2e_latency_seconds histogram.  The shards run the shipped
+// Aggregator config, spatial fault check on; one extra row with the check
+// off shows its share of the shard time.
 //
 // Frames are pre-encoded once per stack and re-stamped per scan (sequence,
 // sim_time, capture_ns + trailing CRC), so the producer side costs one CRC
@@ -27,6 +29,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -129,20 +132,21 @@ Corpus build_corpus(std::size_t stacks, std::size_t sites,
   return c;
 }
 
-telemetry::Aggregator::Config agg_config() {
+/// The shipped Aggregator config, spatial fault check included: one
+/// O(m_d^2) pass per die of m_d sites on weights cached per die layout
+/// (every stack here shares one layout).  `spatial = false` is the
+/// comparison row that shows the check's share of the shard time.
+telemetry::Aggregator::Config agg_config(bool spatial) {
   telemetry::Aggregator::Config cfg;
-  // Leave-one-out spatial checks are O(sites^2) per frame; this bench
-  // measures the transport + merge pipeline, so keep the detector out of
-  // the hot path (over-temperature alerts still exercise the alert merge).
-  cfg.spatial_check = false;
+  cfg.spatial_check = spatial;
   return cfg;
 }
 
 /// The ground truth every sharded row must reproduce byte for byte.
-ingest::FleetView baseline_view(Corpus& corpus) {
+ingest::FleetView baseline_view(Corpus& corpus, bool spatial) {
   std::vector<telemetry::Alert> alerts;
   telemetry::Aggregator agg(
-      agg_config(),
+      agg_config(spatial),
       [&](const telemetry::Alert& alert) { alerts.push_back(alert); });
   for (std::size_t scan = 0; scan < corpus.scans; ++scan) {
     for (auto& tmpl : corpus.templates) {
@@ -165,7 +169,7 @@ struct RowResult {
   bool delivered = false;
 };
 
-RowResult run_row(Corpus& corpus, std::size_t shard_count,
+RowResult run_row(Corpus& corpus, std::size_t shard_count, bool spatial,
                   std::uint32_t baseline_digest) {
   // Isolate this row's latency histogram from previous rows.
   obs::Registry::instance().reset_values();
@@ -175,7 +179,7 @@ RowResult run_row(Corpus& corpus, std::size_t shard_count,
   // Generous ring: loss would break the digest bar, and backpressure
   // behavior has its own tests — here we measure sustained throughput.
   server_cfg.shard_ring_capacity = 1 << 16;
-  server_cfg.aggregator = agg_config();
+  server_cfg.aggregator = agg_config(spatial);
   ingest::IngestServer server(server_cfg);
   server.start();
 
@@ -242,11 +246,16 @@ int main(int argc, char** argv) {
               smoke ? "smoke" : "full", stacks, sites, scans);
 
   Corpus corpus = build_corpus(stacks, sites, scans);
-  const ingest::FleetView baseline = baseline_view(corpus);
-  const std::uint32_t want = baseline.digest();
+  // Spatial check on (the shipped config) across the shard sweep, plus one
+  // spatial-off row at kSpatialOffShards; each row must reproduce the
+  // digest of a single Aggregator running its own config.
+  constexpr std::size_t kSpatialOffShards = 2;
+  const std::uint32_t want_on = baseline_view(corpus, true).digest();
+  const std::uint32_t want_off = baseline_view(corpus, false).digest();
 
   Table table{"loopback TCP, batched frames, digest vs single Aggregator"};
   table.add_column("shards", 0);
+  table.add_column("spatial", 0);
   table.add_column("frames", 0);
   table.add_column("Msites", 2);
   table.add_column("wire MB", 1);
@@ -259,21 +268,33 @@ int main(int argc, char** argv) {
 
   bool all_ok = true;
   double best_frames_s = 0.0;
+  double off_frames_s = 0.0;
   double worst_p99_ms = 0.0;
   const double msites =
       static_cast<double>(corpus.frames() * sites) / 1e6;
   const double wire_mb = static_cast<double>(corpus.wire_bytes()) / 1e6;
+  std::vector<std::pair<std::size_t, bool>> rows;
   for (const std::size_t shard_count : shard_counts) {
-    const RowResult row = run_row(corpus, shard_count, want);
+    rows.emplace_back(shard_count, true);
+  }
+  rows.emplace_back(kSpatialOffShards, false);
+  for (const auto& [shard_count, spatial] : rows) {
+    const RowResult row =
+        run_row(corpus, shard_count, spatial, spatial ? want_on : want_off);
+    const double frames_s =
+        static_cast<double>(corpus.frames()) / row.seconds;
     all_ok = all_ok && row.digest_ok;
-    best_frames_s = std::max(
-        best_frames_s, static_cast<double>(corpus.frames()) / row.seconds);
-    worst_p99_ms = std::max(worst_p99_ms, row.p99_ms);
+    if (spatial) {
+      best_frames_s = std::max(best_frames_s, frames_s);
+      worst_p99_ms = std::max(worst_p99_ms, row.p99_ms);
+    } else {
+      off_frames_s = frames_s;
+    }
     table.add_row({static_cast<double>(shard_count),
+                   std::string{spatial ? "on" : "off"},
                    static_cast<double>(corpus.frames()), msites, wire_mb,
-                   row.seconds,
-                   static_cast<double>(corpus.frames()) / row.seconds,
-                   msites / row.seconds, wire_mb / row.seconds, row.p99_ms,
+                   row.seconds, frames_s, msites / row.seconds,
+                   wire_mb / row.seconds, row.p99_ms,
                    std::string{row.digest_ok ? "match" : "MISMATCH"}});
   }
   bench::emit(table, "a18_ingest_throughput");
@@ -287,6 +308,8 @@ int main(int argc, char** argv) {
       bench::json_out_dir(argc, argv), "a18_ingest_throughput",
       {{"digest_match", all_ok ? 1.0 : 0.0, "bool", 1.0, all_ok},
        {"frames_per_second", best_frames_s, "frames/s", 0.0, true},
+       {"frames_per_second_spatial_off", off_frames_s, "frames/s", 0.0,
+        true},
        {"e2e_p99", worst_p99_ms, "ms", 0.0, true}});
   return (all_ok && scale_ok) ? 0 : 1;
 }

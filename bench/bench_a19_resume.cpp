@@ -121,7 +121,7 @@ std::vector<std::vector<std::uint8_t>> build_corpus(std::size_t stacks,
 
 telemetry::Aggregator::Config agg_config() {
   telemetry::Aggregator::Config cfg;
-  cfg.spatial_check = false;  // O(sites^2) detector out of the hot path
+  cfg.spatial_check = false;  // this bench gates delivery, not detection
   return cfg;
 }
 

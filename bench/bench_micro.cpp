@@ -4,8 +4,13 @@
 // real-time-scale thermal co-simulation.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "calib/linalg.hpp"
 #include "circuit/ring_oscillator.hpp"
+#include "core/fault_detector.hpp"
 #include "core/pt_sensor.hpp"
 #include "process/variation.hpp"
 #include "thermal/network.hpp"
@@ -99,6 +104,61 @@ void BM_LuSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LuSolve)->Arg(3)->Arg(16)->Arg(64);
+
+/// One scan of `n` sites on 4 dies, each die a square-ish 0.5 mm grid
+/// shifted by `offset`, under a smooth gradient with one stuck-high site
+/// per die — the fleet's spatial-check workload.
+std::vector<core::StackMonitor::SiteReading> fault_scan(std::size_t n,
+                                                        double offset) {
+  std::vector<core::StackMonitor::SiteReading> scan(n);
+  const std::size_t per_die = n / 4;
+  const auto cols = static_cast<std::size_t>(
+      std::ceil(std::sqrt(static_cast<double>(per_die))));
+  Rng rng{3};
+  for (std::size_t i = 0; i < n; ++i) {
+    auto& r = scan[i];
+    const std::size_t k = i % per_die;
+    r.site_index = i;
+    r.die = i / per_die;
+    r.location = {offset + 0.5e-3 * static_cast<double>(k % cols),
+                  0.5e-3 * static_cast<double>(k / cols)};
+    r.sensed = Celsius{50.0 + 2e3 * r.location.x + rng.gaussian(0.0, 0.5) +
+                       (k == per_die / 2 ? 40.0 : 0.0)};
+  }
+  return scan;
+}
+
+/// Warm layout: the steady state of a fleet, where every frame of a stack
+/// carries the same site map and the detector reuses its weight tables.
+void BM_FaultDetectorAnalyze(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto scan = fault_scan(n, 0.0);
+  const core::FaultDetector detector{
+      core::FaultDetector::Config{.threshold = Celsius{15.0}}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detector.analyze(scan));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_FaultDetectorAnalyze)->Arg(16)->Arg(256)->Arg(1024);
+
+/// New layout every call: the weight tables are rebuilt each time (the
+/// cost of a stack whose site map changes, or of the first frame).
+void BM_FaultDetectorAnalyzeNewLayout(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<core::StackMonitor::SiteReading> scans[2] = {
+      fault_scan(n, 0.0), fault_scan(n, 1e-6)};
+  const core::FaultDetector detector{
+      core::FaultDetector::Config{.threshold = Celsius{15.0}}};
+  std::size_t call = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detector.analyze(scans[call++ % 2]));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_FaultDetectorAnalyzeNewLayout)->Arg(16)->Arg(256)->Arg(1024);
 
 }  // namespace
 

@@ -5,6 +5,14 @@
 
 namespace tsvpt::core {
 
+namespace {
+
+/// Weight-table marker for a coincident pair: the estimate is exactly that
+/// reading (real weights are never negative).
+constexpr double kCoincident = -1.0;
+
+}  // namespace
+
 std::vector<FaultDetector::Verdict> FaultDetector::analyze(
     const std::vector<StackMonitor::SiteReading>& sample) const {
   std::vector<Verdict> verdicts(sample.size());
@@ -16,60 +24,96 @@ std::vector<FaultDetector::Verdict> FaultDetector::analyze(
     }
   }
 
-  FieldEstimator::Config est_cfg;
-  est_cfg.power = config_.idw_power;
-  est_cfg.skip_degraded = true;
-  const FieldEstimator estimator{est_cfg};
-
-  // Leave-one-out deviation of site i against the current healthy set.  A
-  // stuck sensor contaminates its neighbours' estimates, so suspects are
-  // excluded greedily — worst violator first — until the set is consistent.
-  auto deviation_of = [&](std::size_t i) -> std::optional<double> {
-    std::vector<StackMonitor::SiteReading> reference;
-    reference.reserve(sample.size());
-    for (std::size_t j = 0; j < sample.size(); ++j) {
-      if (j == i || verdicts[j].suspect) continue;
-      if (sample[j].die != sample[i].die) continue;
-      reference.push_back(sample[j]);
-    }
-    if (reference.empty()) return std::nullopt;  // cannot cross-check
-    try {
-      const double estimate =
-          estimator
-              .estimate_at(reference, sample[i].die, sample[i].location)
-              .value();
-      return sample[i].sensed.value() - estimate;
-    } catch (const std::runtime_error&) {
-      return std::nullopt;
-    }
-  };
-
-  for (std::size_t round = 0; round < sample.size(); ++round) {
-    double worst = config_.threshold.value();
-    std::ptrdiff_t worst_index = -1;
-    for (std::size_t i = 0; i < sample.size(); ++i) {
-      if (verdicts[i].suspect) continue;
-      const auto deviation = deviation_of(i);
-      if (!deviation) continue;
-      verdicts[i].deviation = Celsius{*deviation};
-      if (std::abs(*deviation) > worst) {
-        worst = std::abs(*deviation);
-        worst_index = static_cast<std::ptrdiff_t>(i);
-      }
-    }
-    if (worst_index < 0) break;
-    verdicts[worst_index].suspect = true;
-    verdicts[worst_index].reason = "spatially inconsistent with neighbours";
-  }
-
-  // Final deviations for the healthy sites, against the cleaned set.
+  // Group the scan by die, die positions in order of first appearance.
+  std::size_t used = 0;
   for (std::size_t i = 0; i < sample.size(); ++i) {
-    if (verdicts[i].suspect) continue;
-    if (const auto deviation = deviation_of(i)) {
-      verdicts[i].deviation = Celsius{*deviation};
+    std::size_t g = 0;
+    while (g < used && dies_[g].die != sample[i].die) ++g;
+    if (g == used) {
+      if (used == dies_.size()) dies_.emplace_back();
+      dies_[g].die = sample[i].die;
+      dies_[g].members.clear();
+      ++used;
     }
+    dies_[g].members.push_back(i);
+  }
+  for (std::size_t g = 0; g < used; ++g) {
+    analyze_die(sample, dies_[g], verdicts);
   }
   return verdicts;
+}
+
+void FaultDetector::analyze_die(
+    const std::vector<StackMonitor::SiteReading>& sample, DieState& die,
+    std::vector<Verdict>& verdicts) const {
+  const std::size_t m = die.members.size();
+  bool same_layout = die.locations.size() == m;
+  for (std::size_t a = 0; same_layout && a < m; ++a) {
+    same_layout = die.locations[a] == sample[die.members[a]].location;
+  }
+  if (!same_layout) {
+    die.locations.resize(m);
+    for (std::size_t a = 0; a < m; ++a) {
+      die.locations[a] = sample[die.members[a]].location;
+    }
+    die.weights.assign(m * m, 0.0);
+    for (std::size_t a = 0; a < m; ++a) {
+      for (std::size_t b = 0; b < m; ++b) {
+        if (b == a) continue;
+        const double d = die.locations[a].distance_to(die.locations[b]);
+        die.weights[a * m + b] =
+            d < 1e-9 ? kCoincident : 1.0 / std::pow(d, config_.idw_power);
+      }
+    }
+  }
+  die.sensed.resize(m);
+  die.excluded.resize(m);
+  for (std::size_t a = 0; a < m; ++a) {
+    die.sensed[a] = sample[die.members[a]].sensed.value();
+    die.excluded[a] = verdicts[die.members[a]].suspect ? 1 : 0;
+  }
+
+  // Leave-one-out deviation of member a against the die's current healthy
+  // set: FieldEstimator::estimate_at's inverse-distance sum, same order
+  // (ascending sample index), same exact return on a coincident reading.
+  auto deviation_of = [&](std::size_t a) -> std::optional<double> {
+    const double* row = die.weights.data() + a * m;
+    double weight_sum = 0.0;
+    double acc = 0.0;
+    for (std::size_t b = 0; b < m; ++b) {
+      if (b == a || die.excluded[b] != 0) continue;
+      const double w = row[b];
+      if (w == kCoincident) return die.sensed[a] - die.sensed[b];
+      weight_sum += w;
+      acc += w * die.sensed[b];
+    }
+    if (weight_sum == 0.0) return std::nullopt;  // cannot cross-check
+    return die.sensed[a] - acc / weight_sum;
+  };
+
+  // A stuck sensor contaminates its neighbours' estimates, so suspects are
+  // excluded greedily — worst violator first — until the set is consistent.
+  // Every round rescores each healthy site, so the round that finds no
+  // violator has already left each deviation against the cleaned set.
+  for (;;) {
+    double worst = config_.threshold.value();
+    std::size_t worst_member = m;
+    for (std::size_t a = 0; a < m; ++a) {
+      if (die.excluded[a] != 0) continue;
+      const auto deviation = deviation_of(a);
+      if (!deviation) continue;
+      verdicts[die.members[a]].deviation = Celsius{*deviation};
+      if (std::abs(*deviation) > worst) {
+        worst = std::abs(*deviation);
+        worst_member = a;
+      }
+    }
+    if (worst_member == m) break;
+    die.excluded[worst_member] = 1;
+    Verdict& verdict = verdicts[die.members[worst_member]];
+    verdict.suspect = true;
+    verdict.reason = "spatially inconsistent with neighbours";
+  }
 }
 
 std::vector<std::size_t> FaultDetector::suspects(

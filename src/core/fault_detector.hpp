@@ -6,6 +6,22 @@
 // violator first) so a single stuck sensor cannot contaminate its
 // neighbours' estimates into false positives.
 //
+// Cost model.  Dies are independent (flagging a site on one die never moves
+// another die's estimates), so the greedy exclusion runs per die: one round
+// is O(m_d^2) multiply-adds for a die of m_d sites, and a scan with k_d
+// suspects on die d costs (k_d + 1) rounds there.  The inverse-distance
+// weights depend only on where the sites sit, so each detector caches one
+// weight table per die position (dies in order of first appearance in the
+// scan) and rebuilds it only when that die's locations stop comparing
+// exactly equal — memory is bounded by sum m_d^2 doubles of the widest scan
+// seen, independent of how many frames or stacks pass through.  Each
+// estimate equals FieldEstimator::estimate_at over the die's healthy
+// readings bit for bit: same distances, same summation order.
+//
+// Ownership.  analyze() is const but fills that cache, so one detector must
+// not be shared across threads: give each thread (each Aggregator shard,
+// each HealthSupervisor) its own.
+//
 // Known limitation (pinned by tests): a hotspot concentrated on exactly one
 // sensor is spatially indistinguishable from that sensor sticking high, and
 // is flagged.  Disambiguation is temporal — real hotspots grow on thermal
@@ -16,11 +32,12 @@
 // (pinned by HealthSupervisorTest.SingleScanJumpQuarantinedHotspotRampIsNot).
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "core/field_estimator.hpp"
 #include "core/stack_monitor.hpp"
+#include "process/geometry.hpp"
 
 namespace tsvpt::core {
 
@@ -46,6 +63,7 @@ class FaultDetector {
   explicit FaultDetector(Config config) : config_(config) {}
 
   /// Analyze one scan.  Verdicts are aligned with the sample's order.
+  /// Not thread-safe: reuses this detector's per-die weight cache.
   [[nodiscard]] std::vector<Verdict> analyze(
       const std::vector<StackMonitor::SiteReading>& sample) const;
 
@@ -54,7 +72,25 @@ class FaultDetector {
       const std::vector<StackMonitor::SiteReading>& sample) const;
 
  private:
+  /// One die position of the scan: its sites plus the cached weights.
+  struct DieState {
+    std::size_t die = 0;
+    /// Sample indices on this die, ascending (scratch, refilled per scan).
+    std::vector<std::size_t> members;
+    /// Sensed value and exclusion flag per member (scratch).
+    std::vector<double> sensed;
+    std::vector<char> excluded;
+    /// The layout `weights` was built for, and its m x m table: row a holds
+    /// 1 / d(a, b)^idw_power, or kCoincident where d(a, b) < 1e-9.
+    std::vector<process::Point> locations;
+    std::vector<double> weights;
+  };
+
+  void analyze_die(const std::vector<StackMonitor::SiteReading>& sample,
+                   DieState& die, std::vector<Verdict>& verdicts) const;
+
   Config config_{};
+  mutable std::vector<DieState> dies_;
 };
 
 /// Temporal disambiguation between faults and real thermal events: feed it

@@ -90,7 +90,11 @@ class Aggregator {
     double runaway_rate{400.0};
     /// Consecutive degraded frames before a site is declared dead.
     std::size_t dead_scan_limit = 3;
-    /// Spatial leave-one-out cross-check per scan (FaultDetector).
+    /// Spatial leave-one-out cross-check per scan (FaultDetector): one
+    /// O(m_d^2) pass per die of m_d sites (plus one per suspect found) on
+    /// inverse-distance weights this Aggregator's own detector caches per
+    /// die layout — sum m_d^2 doubles, rebuilt only when a die's site
+    /// locations change between frames.
     bool spatial_check = true;
     /// Fleet monitoring uses sparse per-die grids (2x2 typical), where real
     /// hotspot gradients reach well past FaultDetector's 8 C single-stack
