@@ -8,10 +8,11 @@
 #include <iostream>
 
 #include "bench_util.hpp"
+#include "control/eval.hpp"
+#include "control/policies.hpp"
 #include "core/stack_monitor.hpp"
 #include "process/variation.hpp"
 #include "ptsim/stats.hpp"
-#include "sim/dvfs.hpp"
 #include "thermal/workload.hpp"
 
 using namespace tsvpt;
@@ -55,17 +56,24 @@ int main() {
   const thermal::StackConfig stack = thermal::StackConfig::four_die_stack();
   const thermal::Workload workload = hot_workload(stack);
 
-  sim::DvfsGovernor::Config gov_cfg = sim::DvfsGovernor::Config::typical();
-  gov_cfg.ceiling = Celsius{50.0};
-  gov_cfg.floor = Celsius{44.0};
-  gov_cfg.sample_period = Second{2e-3};
-  gov_cfg.thermal_step = Second{0.5e-3};
+  // The governor: one ladder walk on the stack's hottest reading, every
+  // die at the same rung.  Work accrues per die, so the stack's relative
+  // throughput is work / (dies * duration).
+  control::Controller::Config gov_cfg;
+  gov_cfg.policy.ceiling = Celsius{50.0};
+  gov_cfg.policy.floor = Celsius{44.0};
+  gov_cfg.plant.unscalable_fraction = 0.0;
+  gov_cfg.violation_ceiling = gov_cfg.policy.ceiling;
+  control::EvalConfig eval;
+  eval.sample_period = Second{2e-3};
+  eval.thermal_step = Second{0.5e-3};
+  eval.max_duration = Second{1.5};
 
   Table table{"A11 governor comparison (ceiling 50 degC, 1.5 s run)"};
   table.add_column("governor eyes");
   table.add_column("rel_throughput", 3);
   table.add_column("max_true_degC", 2);
-  table.add_column("overshoot_degC*s", 4);
+  table.add_column("violation_s", 4);
   table.add_column("transitions", 0);
 
   struct Scenario {
@@ -91,18 +99,22 @@ int main() {
     }
     core::StackMonitor monitor{&network, sensor_cfg, sites, 929292};
 
-    sim::DvfsGovernor::Config cfg = gov_cfg;
-    if (s.static_bottom) {
-      cfg.initial_level = cfg.ladder.size() - 1;
-      cfg.ceiling = Celsius{1000.0};
-      cfg.floor = Celsius{-200.0};
-    }
-    const sim::DvfsGovernor governor{cfg};
-    const auto result =
-        governor.run(network, workload, monitor, Second{1.5}, 515);
-    table.add_row({s.name, result.relative_throughput,
-                   result.max_true.value(), result.overshoot_integral,
-                   static_cast<long long>(result.transitions)});
+    // The no-sensor fallback is the static baseline at the bottom rung.
+    control::Controller governor{
+        gov_cfg,
+        control::stack_wide(control::make_policy(
+            s.static_bottom ? control::PolicyKind::kStaticWorstCase
+                            : control::PolicyKind::kDvfsLadder,
+            gov_cfg.policy, stack.die_count())),
+        stack.die_count()};
+    const control::EvalResult result = control::run_closed_loop(
+        network, workload, monitor, &governor, eval, 515);
+    table.add_row({s.name,
+                   result.stats.work_done /
+                       (static_cast<double>(stack.die_count()) *
+                        result.duration.value()),
+                   result.stats.peak_true_c, result.stats.violation_s,
+                   static_cast<long long>(result.stats.actuations)});
   }
   bench::emit(table, "a11_dvfs");
 

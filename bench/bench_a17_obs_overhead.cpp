@@ -48,9 +48,11 @@ double run_fleet(std::size_t stacks, std::size_t scans) {
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  // A --smoke arm runs >= 100 ms (4-core host), so thread start-up and
+  // scheduler noise stay a small share of what is timed.
   const std::size_t stacks = smoke ? 4 : 12;
-  const std::size_t scans = smoke ? 12 : 40;
-  const int reps = smoke ? 3 : 5;
+  const std::size_t scans = smoke ? 1200 : 40;
+  const int reps = 5;
   const double gate = smoke ? 0.25 : 0.05;
 
   bench::banner("A17", "self-observability overhead on fleet sampling");

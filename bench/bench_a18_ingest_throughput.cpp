@@ -47,12 +47,6 @@ namespace {
 
 using namespace tsvpt;
 
-// Header offsets from the v2 wire layout (frame.hpp): the three fields a
-// re-stamped scan changes, plus the trailing CRC.
-constexpr std::size_t kSequenceOffset = 16;
-constexpr std::size_t kSimTimeOffset = 24;
-constexpr std::size_t kCaptureNsOffset = 32;
-
 void poke_u64(std::vector<std::uint8_t>& buf, std::size_t at,
               std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -64,9 +58,10 @@ void poke_u64(std::vector<std::uint8_t>& buf, std::size_t at,
 /// Re-stamp a pre-encoded frame for one scan and fix its trailing CRC.
 void restamp(std::vector<std::uint8_t>& buf, std::uint64_t sequence,
              double sim_time, std::uint64_t capture_ns) {
-  poke_u64(buf, kSequenceOffset, sequence);
-  poke_u64(buf, kSimTimeOffset, std::bit_cast<std::uint64_t>(sim_time));
-  poke_u64(buf, kCaptureNsOffset, capture_ns);
+  poke_u64(buf, telemetry::kFrameSequenceOffset, sequence);
+  poke_u64(buf, telemetry::kFrameSimTimeOffset,
+           std::bit_cast<std::uint64_t>(sim_time));
+  poke_u64(buf, telemetry::kFrameCaptureNsOffset, capture_ns);
   const std::uint32_t crc =
       telemetry::crc32(buf.data(), buf.size() - sizeof(std::uint32_t));
   const std::size_t at = buf.size() - sizeof(std::uint32_t);

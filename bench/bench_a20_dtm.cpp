@@ -132,7 +132,7 @@ std::vector<ScenarioRun> run_scenario(const control::EvalConfig& eval,
     control::Controller controller{controller_config(kind),
                                    stack.die_count()};
     runs.push_back(
-        {kind, run_closed_loop(network, workload, monitor, controller, eval,
+        {kind, run_closed_loop(network, workload, monitor, &controller, eval,
                                515)});
   }
   return runs;
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--trace") == 0) trace = true;
   }
   if (trace) {
-    eval.on_scan = [](std::uint64_t scan,
+    eval.on_scan = [](std::uint64_t scan, Second,
                       const std::vector<core::StackMonitor::SiteReading>& readings,
                       const control::Actuation& act) {
       if (scan % 25 != 0) return;

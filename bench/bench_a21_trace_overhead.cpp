@@ -42,11 +42,6 @@ namespace {
 
 using namespace tsvpt;
 
-// v2 frame-header offsets (frame.hpp), same re-stamp trick as A18.
-constexpr std::size_t kSequenceOffset = 16;
-constexpr std::size_t kSimTimeOffset = 24;
-constexpr std::size_t kCaptureNsOffset = 32;
-
 void poke_u64(std::vector<std::uint8_t>& buf, std::size_t at,
               std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -57,9 +52,10 @@ void poke_u64(std::vector<std::uint8_t>& buf, std::size_t at,
 
 void restamp(std::vector<std::uint8_t>& buf, std::uint64_t sequence,
              double sim_time, std::uint64_t capture_ns) {
-  poke_u64(buf, kSequenceOffset, sequence);
-  poke_u64(buf, kSimTimeOffset, std::bit_cast<std::uint64_t>(sim_time));
-  poke_u64(buf, kCaptureNsOffset, capture_ns);
+  poke_u64(buf, telemetry::kFrameSequenceOffset, sequence);
+  poke_u64(buf, telemetry::kFrameSimTimeOffset,
+           std::bit_cast<std::uint64_t>(sim_time));
+  poke_u64(buf, telemetry::kFrameCaptureNsOffset, capture_ns);
   const std::uint32_t crc =
       telemetry::crc32(buf.data(), buf.size() - sizeof(std::uint32_t));
   const std::size_t at = buf.size() - sizeof(std::uint32_t);
@@ -185,7 +181,9 @@ int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   const std::size_t stacks = smoke ? 32 : 256;
   const std::size_t sites = smoke ? 32 : 256;
-  const std::size_t scans = 4;
+  // A --smoke arm runs >= 100 ms (4-core host), so thread wake-ups and
+  // scheduler noise stay a small share of what is timed.
+  const std::size_t scans = smoke ? 480 : 4;
   const int reps = smoke ? 3 : 5;
   const double gate = smoke ? 0.25 : 0.05;
   constexpr std::int64_t kOffsetGateNs = 2'000'000;  // +-2 ms on loopback

@@ -7,9 +7,10 @@
 #include <iostream>
 
 #include "bench_util.hpp"
+#include "control/eval.hpp"
+#include "control/policies.hpp"
 #include "core/stack_monitor.hpp"
 #include "process/variation.hpp"
-#include "sim/thermal_guard.hpp"
 #include "thermal/leakage.hpp"
 #include "thermal/workload.hpp"
 
@@ -94,13 +95,19 @@ int main() {
     for (std::size_t i = 0; i < 4; ++i) sites[d * 4 + i].vt_delta = die.at(i);
   }
 
-  sim::ThermalGuard::Config guard_cfg;
-  guard_cfg.throttle_on = Celsius{60.0};
-  guard_cfg.throttle_off = Celsius{52.0};
-  guard_cfg.throttle_factor = 0.2;
-  guard_cfg.sample_period = Second{2e-3};
-  guard_cfg.thermal_step = Second{1e-3};
-  const sim::ThermalGuard guard{guard_cfg};
+  // The guard: one hysteretic trip on the stack's hottest reading that
+  // scales every die's power to 20 % while engaged.  Unguarded is the same
+  // loop with every die parked at full power.
+  control::Controller::Config guard_cfg;
+  guard_cfg.policy.gate_on = Celsius{60.0};
+  guard_cfg.policy.gate_off = Celsius{52.0};
+  guard_cfg.policy.gate_power_scale = 0.2;
+  guard_cfg.policy.static_level = 0;
+  guard_cfg.plant.unscalable_fraction = 0.0;
+  control::EvalConfig eval;
+  eval.sample_period = Second{2e-3};
+  eval.thermal_step = Second{1e-3};
+  eval.max_duration = Second{1.5};
 
   Table rescue{"A6 transient at 7 W (past the open-loop knee)"};
   rescue.add_column("configuration");
@@ -111,11 +118,27 @@ int main() {
     attach_leakage(net, Watt{kLeakPerDie});
     net.set_runaway_limit(Kelvin{2000.0});  // let the transient show growth
     core::StackMonitor monitor{&net, core::PtSensor::Config{}, sites, 17};
-    const auto result =
-        guard.run(net, workload, monitor, Second{1.5}, 19, enabled);
+    control::Controller controller{
+        guard_cfg,
+        control::stack_wide(control::make_policy(
+            enabled ? control::PolicyKind::kReactiveGating
+                    : control::PolicyKind::kStaticWorstCase,
+            guard_cfg.policy, stack.die_count())),
+        stack.die_count()};
+    std::size_t scans = 0;
+    std::size_t throttled = 0;
+    eval.on_scan = [&](std::uint64_t, Second,
+                       const std::vector<core::StackMonitor::SiteReading>&,
+                       const control::Actuation& act) {
+      ++scans;
+      if (act.dies.front().gated) ++throttled;
+    };
+    const control::EvalResult result =
+        control::run_closed_loop(net, workload, monitor, &controller, eval, 19);
     rescue.add_row({enabled ? std::string{"guarded"} : std::string{"unguarded"},
-                    result.max_true.value(),
-                    100.0 * result.throttled_fraction});
+                    result.stats.peak_true_c,
+                    100.0 * static_cast<double>(throttled) /
+                        static_cast<double>(scans)});
   }
   bench::emit(rescue, "a6_rescue");
 

@@ -14,9 +14,10 @@
 #include <iostream>
 
 #include "bench_util.hpp"
+#include "control/eval.hpp"
 #include "core/stack_monitor.hpp"
 #include "process/variation.hpp"
-#include "sim/monitor_session.hpp"
+#include "ptsim/stats.hpp"
 #include "thermal/workload.hpp"
 
 using namespace tsvpt;
@@ -55,12 +56,24 @@ int main() {
   core::PtSensor::Config sensor_cfg;
   sensor_cfg.compensate_supply = true;
   core::StackMonitor monitor{&network, sensor_cfg, sites, 606};
-  sim::MonitoringSession::Config session_cfg;
-  session_cfg.sample_period = Second{1e-3};
-  session_cfg.thermal_step = Second{0.5e-3};
-  sim::MonitoringSession session{&network, &workload, &monitor, session_cfg,
-                                 707};
-  session.run(Second{120e-3});
+  // Open loop: the raw workload map, every scan collected through the hook.
+  struct Scan {
+    double time_s;
+    std::vector<core::StackMonitor::SiteReading> readings;
+  };
+  std::vector<Scan> scans;
+  control::EvalConfig eval;
+  eval.sample_period = Second{1e-3};
+  eval.thermal_step = Second{0.5e-3};
+  eval.max_duration = Second{120e-3};
+  eval.start_at_steady_state = true;
+  eval.on_scan = [&](std::uint64_t, Second t,
+                     const std::vector<core::StackMonitor::SiteReading>& rs,
+                     const control::Actuation&) {
+    scans.push_back({t.value(), rs});
+  };
+  (void)control::run_closed_loop(network, workload, monitor, nullptr, eval,
+                                 707);
 
   Table trace{"F5 trace: true vs sensed (degC), hottest site per die"};
   trace.add_column("t_ms", 1);
@@ -68,9 +81,9 @@ int main() {
     trace.add_column("die" + std::to_string(d) + "_true", 2);
     trace.add_column("die" + std::to_string(d) + "_sensed", 2);
   }
-  for (std::size_t k = 0; k < session.trace().size(); k += 5) {
-    const sim::SamplePoint& point = session.trace()[k];
-    std::vector<Cell> row{point.time.value() * 1e3};
+  for (std::size_t k = 0; k < scans.size(); k += 5) {
+    const Scan& point = scans[k];
+    std::vector<Cell> row{point.time_s * 1e3};
     for (std::size_t d = 0; d < 4; ++d) {
       double best_true = -1e30;
       double best_sensed = -1e30;
@@ -95,7 +108,7 @@ int main() {
   stats.add_column("max|err|", 3);
   for (std::size_t d = 0; d < 4; ++d) {
     Samples errors;
-    for (const auto& point : session.trace()) {
+    for (const Scan& point : scans) {
       for (const auto& r : point.readings) {
         if (r.die == d) errors.add(r.error());
       }
@@ -105,11 +118,18 @@ int main() {
   }
   bench::emit(stats, "f5_stats");
 
-  const Samples all = session.error_samples();
+  Samples all;
+  Joule energy{0.0};
+  for (const Scan& point : scans) {
+    for (const auto& r : point.readings) {
+      all.add(r.error());
+      energy += r.energy;
+    }
+  }
   std::cout << "Overall: 3sigma = " << all.three_sigma()
             << " degC, max |err| = " << all.max_abs()
             << " degC over " << all.count() << " readings; total sensing "
-            << "energy = " << session.total_sensing_energy().value() * 1e9
+            << "energy = " << energy.value() * 1e9
             << " nJ.\n";
   std::cout << "Shape check: the sensed trace follows burst/idle swings on "
                "every die with\ndegree-scale worst-case error; the heated die "

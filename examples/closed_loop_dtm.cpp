@@ -123,7 +123,7 @@ int main() {
 
     std::cout << s.name << ":\n";
     const control::EvalResult result =
-        run_closed_loop(network, workload, monitor, controller, eval, 33);
+        run_closed_loop(network, workload, monitor, &controller, eval, 33);
     const control::Controller::Stats& st = result.stats;
     if (result.runaway) {
       std::printf(

@@ -7,9 +7,10 @@
 #include <iomanip>
 #include <iostream>
 
+#include "control/eval.hpp"
 #include "core/stack_monitor.hpp"
 #include "process/variation.hpp"
-#include "sim/monitor_session.hpp"
+#include "ptsim/stats.hpp"
 #include "thermal/workload.hpp"
 
 int main() {
@@ -49,22 +50,30 @@ int main() {
   sensor_cfg.compensate_supply = true;
   core::StackMonitor monitor{&network, sensor_cfg, sites, 7};
 
-  // Run 150 ms with 2 ms sampling.
-  sim::MonitoringSession::Config session_cfg;
-  session_cfg.sample_period = Second{2e-3};
-  session_cfg.thermal_step = Second{0.5e-3};
-  sim::MonitoringSession session{&network, &workload, &monitor, session_cfg, 9};
-  session.run(Second{150e-3});
-
+  // Run 150 ms open-loop with 2 ms sampling, starting from the first
+  // phase's steady state; every 10th scan is printed as it happens.
+  control::EvalConfig eval;
+  eval.sample_period = Second{2e-3};
+  eval.thermal_step = Second{0.5e-3};
+  eval.max_duration = Second{150e-3};
+  eval.start_at_steady_state = true;
+  Samples errors;
+  Joule energy{0.0};
   std::cout << std::fixed << std::setprecision(2);
   std::cout << "time(ms)  die0 true/sensed   die1   die2   die3 (hottest site, degC)\n";
-  for (std::size_t k = 0; k < session.trace().size(); k += 10) {
-    const sim::SamplePoint& point = session.trace()[k];
-    std::cout << std::setw(7) << point.time.value() * 1e3 << "  ";
+  eval.on_scan = [&](std::uint64_t scan, Second t,
+                     const std::vector<core::StackMonitor::SiteReading>& rs,
+                     const control::Actuation&) {
+    for (const auto& r : rs) {
+      errors.add(r.error());
+      energy += r.energy;
+    }
+    if (scan % 10 != 0) return;
+    std::cout << std::setw(7) << t.value() * 1e3 << "  ";
     for (std::size_t d = 0; d < 4; ++d) {
       double best_true = -1e30;
       double best_sensed = 0.0;
-      for (const auto& r : point.readings) {
+      for (const auto& r : rs) {
         if (r.die == d && r.truth.value() > best_true) {
           best_true = r.truth.value();
           best_sensed = r.sensed.value();
@@ -73,14 +82,13 @@ int main() {
       std::cout << best_true << "/" << best_sensed << "  ";
     }
     std::cout << '\n';
-  }
+  };
+  (void)control::run_closed_loop(network, workload, monitor, nullptr, eval, 9);
 
-  const Samples errors = session.error_samples();
   std::cout << "\ntracking error over " << errors.count()
             << " readings: 3-sigma = " << errors.three_sigma()
             << " degC, worst = " << errors.max_abs() << " degC\n";
-  std::cout << "total sensing energy: "
-            << session.total_sensing_energy().value() * 1e9 << " nJ\n\n";
+  std::cout << "total sensing energy: " << energy.value() * 1e9 << " nJ\n\n";
 
   // The process map the stack integrator gets for free from calibration.
   std::cout << "process map (die-mean extracted dVtn / dVtp, mV):\n";

@@ -57,9 +57,13 @@ void append_double_bits(std::string* out, double v) {
 }  // namespace
 
 Controller::Controller(Config config, std::size_t die_count)
-    : config_(config),
-      die_count_(die_count),
-      policy_(make_policy(config.kind, config.policy, die_count)) {
+    : Controller(config, make_policy(config.kind, config.policy, die_count),
+                 die_count) {}
+
+Controller::Controller(Config config, std::unique_ptr<Policy> policy,
+                       std::size_t die_count)
+    : config_(config), die_count_(die_count), policy_(std::move(policy)) {
+  if (policy_ == nullptr) throw std::invalid_argument{"Controller: no policy"};
   if (config_.plant.unscalable_fraction < 0.0 ||
       config_.plant.unscalable_fraction > 1.0) {
     throw std::invalid_argument{"Controller: unscalable_fraction"};

@@ -57,6 +57,11 @@ class Controller {
   };
 
   Controller(Config config, std::size_t die_count);
+  /// Drive `policy` instead of the one `config.kind` names (the stack-wide
+  /// guard and governor of stack_wide(), or any custom policy);
+  /// `config.kind` and `config.policy` are then unused.
+  Controller(Config config, std::unique_ptr<Policy> policy,
+             std::size_t die_count);
 
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] const char* policy_name() const { return policy_->name(); }

@@ -1,10 +1,10 @@
 // Shared DVFS-ladder and hysteresis primitives for thermal control.
 //
-// Every thermal actuator in the repo used to carry its own copy of the same
-// two ideas: a ladder of (frequency, power) operating points walked one rung
-// at a time (sim::DvfsGovernor, bench_a11), and a two-threshold hysteretic
-// trip (sim::ThermalGuard).  This header is the single home for both; the
-// control policies, the sim-layer governors and the benches all consume it.
+// Two ideas every thermal actuator needs: a ladder of (frequency, power)
+// operating points walked one rung at a time, and a two-threshold hysteretic
+// trip.  This header is the single home for both; the dvfs, gating and
+// migration policies (and through stack_wide() the A11 governor and the A6
+// guard) all consume it.
 #pragma once
 
 #include <cstddef>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -293,6 +294,51 @@ class MigrationPolicy final : public Policy {
   std::uint64_t since_move_ = 0;
 };
 
+/// Feeds the inner policy the stack-wide view on every die.
+class StackWidePolicy final : public Policy {
+ public:
+  explicit StackWidePolicy(std::unique_ptr<Policy> inner)
+      : inner_(std::move(inner)) {
+    if (inner_ == nullptr) throw std::invalid_argument{"stack_wide: null"};
+    name_ = std::string{"stack-"} + inner_->name();
+  }
+
+  [[nodiscard]] const char* name() const override { return name_.c_str(); }
+
+  [[nodiscard]] Actuation decide(const StackObservation& obs) override {
+    DieObservation stack;
+    double sum = 0.0;
+    for (const DieObservation& die : obs.dies) {
+      stack.total_sites += die.total_sites;
+      if (die.blind()) continue;
+      stack.credible_sites += die.credible_sites;
+      sum += die.mean_sensed.value() * static_cast<double>(die.credible_sites);
+      if (die.max_sensed > stack.max_sensed) stack.max_sensed = die.max_sensed;
+    }
+    if (!stack.blind()) {
+      stack.mean_sensed =
+          Celsius{sum / static_cast<double>(stack.credible_sites)};
+    }
+    StackObservation wide = obs;
+    for (DieObservation& die : wide.dies) {
+      const std::size_t index = die.die;
+      die = stack;
+      die.die = index;
+    }
+    return inner_->decide(wide);
+  }
+
+  [[nodiscard]] Actuation safe_actuation() const override {
+    return inner_->safe_actuation();
+  }
+
+  void reset() override { inner_->reset(); }
+
+ private:
+  std::unique_ptr<Policy> inner_;
+  std::string name_;
+};
+
 }  // namespace
 
 const char* to_string(PolicyKind kind) {
@@ -330,6 +376,10 @@ std::unique_ptr<Policy> make_policy(PolicyKind kind,
       return std::make_unique<MigrationPolicy>(config, die_count);
   }
   throw std::invalid_argument{"make_policy: unknown kind"};
+}
+
+std::unique_ptr<Policy> stack_wide(std::unique_ptr<Policy> inner) {
+  return std::make_unique<StackWidePolicy>(std::move(inner));
 }
 
 }  // namespace tsvpt::control

@@ -7,9 +7,8 @@
 //              baseline every sensing policy must beat: always safe, never
 //              efficient (it pays the unscalable power floor for the whole
 //              stretched-out run).
-//   dvfs       per-die ladder governor with hysteresis — the generalized
-//              form of the bench_a11 / sim::DvfsGovernor walk, one stepper
-//              per die.
+//   dvfs       per-die ladder governor with hysteresis: one LadderStepper
+//              walk per die.
 //   gating     reactive clock/power gating: a hysteretic trip per die cuts
 //              the die to a gate fraction on over-temp, releases below the
 //              floor.  Blunt but fast.
@@ -17,6 +16,10 @@
 //              set of power moves from the hottest die toward the coolest,
 //              grown/retracted one step at a time under a cooldown so two
 //              equally-hot dies never ping-pong work between them.
+//
+// stack_wide() turns a per-die policy into a stack-global one: the DVFS
+// governor of A11 (stack_wide over dvfs) and the thermal guard of A6 and
+// examples/thermal_guard (stack_wide over gating).
 #pragma once
 
 #include <cstdint>
@@ -71,5 +74,13 @@ struct PolicyConfig {
 [[nodiscard]] std::unique_ptr<Policy> make_policy(PolicyKind kind,
                                                   const PolicyConfig& config,
                                                   std::size_t die_count);
+
+/// Wrap `inner` so every die is observed as the whole stack: each die's
+/// observation carries the hottest credible reading anywhere in the stack
+/// (and the stack's credible-site counts), so a per-die policy moves all
+/// dies together.  The stack goes blind only when no die has a credible
+/// reading.  Over dvfs this is a stack-global ladder governor; over gating,
+/// a stack-global hysteretic throttle to `gate_power_scale`.
+[[nodiscard]] std::unique_ptr<Policy> stack_wide(std::unique_ptr<Policy> inner);
 
 }  // namespace tsvpt::control

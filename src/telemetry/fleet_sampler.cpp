@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 
+#include "control/eval.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stages.hpp"
 #include "obs/trace.hpp"
@@ -79,7 +81,8 @@ FleetSampler::FleetSampler(Config config) : config_(std::move(config)) {
     throw std::invalid_argument{"FleetSampler: zero scans"};
   }
   if (config_.sample_period.value() <= 0.0 ||
-      config_.thermal_step.value() <= 0.0) {
+      config_.thermal_step.value() <= 0.0 ||
+      config_.burst_period.value() <= 0.0) {
     throw std::invalid_argument{"FleetSampler: non-positive period"};
   }
   if (config_.control != nullptr &&
@@ -95,6 +98,15 @@ FleetSampler::FleetSampler(Config config) : config_(std::move(config)) {
     config_.thread_count = config_.stack_count;
   }
 
+  // Burst/idle cycles covering the whole run plus two: substeps never reach
+  // past scans_per_stack sample periods, and the spare cycles keep
+  // Workload::phase_at's running subtraction clear of its end-of-list
+  // clamp, so every substep selects the phase an unbounded workload would.
+  const auto cycles = static_cast<std::size_t>(
+      static_cast<double>(config_.scans_per_stack) *
+          config_.sample_period.value() / config_.burst_period.value() +
+      2.0);
+
   stacks_.reserve(config_.stack_count);
   production_.resize(config_.stack_count);
   for (std::size_t k = 0; k < config_.stack_count; ++k) {
@@ -102,8 +114,7 @@ FleetSampler::FleetSampler(Config config) : config_(std::move(config)) {
     thermal::StackConfig geometry = thermal::StackConfig::four_die_stack();
     thermal::Workload workload = thermal::Workload::burst_idle(
         geometry, config_.peak_power, config_.idle_power,
-        config_.burst_period,
-        /*cycles=*/1'000'000);  // effectively unbounded; scans set duration
+        config_.burst_period, cycles);
 
     std::vector<core::SensorSite> sites = core::StackMonitor::uniform_sites(
         geometry, config_.grid_columns, config_.grid_rows);
@@ -205,34 +216,9 @@ void FleetSampler::worker(std::size_t worker_index) {
                                      : nullptr;
       // Advance simulated time to the next sampling instant — under the
       // controller's held actuation when the loop is closed.
-      Second advanced{0.0};
-      while (advanced < config_.sample_period) {
-        const Second h =
-            std::min(config_.thermal_step, config_.sample_period - advanced);
-        if (h.value() <= 0.0) break;  // float residue; the period is covered
-        if (controller != nullptr) {
-          control::apply_actuation(stack.workload, stack.network,
-                                   stack.now + advanced,
-                                   controller->actuation(),
-                                   controller->config().plant);
-        } else {
-          stack.workload.apply(stack.network, stack.now + advanced);
-        }
-        stack.network.step(h);
-        if (controller != nullptr) {
-          Celsius hottest{-273.15};
-          const std::size_t dies = stack.geometry.die_count();
-          for (std::size_t d = 0; d < dies; ++d) {
-            const Celsius t = to_celsius(stack.network.max_temperature(d));
-            if (t > hottest) hottest = t;
-          }
-          controller->note_tick(
-              h, hottest,
-              Watt{stack.network.total_power().value() +
-                   stack.network.leakage_power().value()});
-        }
-        advanced += h;
-      }
+      control::advance_period(stack.network, stack.workload, controller,
+                              stack.now, config_.sample_period,
+                              config_.thermal_step);
       stack.now += config_.sample_period;
 
       Frame frame;
@@ -240,46 +226,18 @@ void FleetSampler::worker(std::size_t worker_index) {
           config_.stack_id_base + static_cast<std::uint32_t>(k);
       frame.sequence = stack.sequence++;
       frame.sim_time = stack.now;
-      if (stack.supervisor != nullptr) {
-        // Supervised path: only convert the sites the supervisor asks for
-        // (quarantined sites between probes and dead sites cost nothing);
-        // skipped slots carry a placeholder the supervisor substitutes.
-        const std::size_t sites = stack.monitor.site_count();
-        std::vector<bool> sampled(sites, true);
-        frame.readings.reserve(sites);
-        for (std::size_t i = 0; i < sites; ++i) {
-          if (stack.supervisor->wants_sample(i)) {
-            frame.readings.push_back(stack.monitor.sample_site(i, &stack.noise));
-          } else {
-            sampled[i] = false;
-            core::StackMonitor::SiteReading placeholder;
-            placeholder.site_index = i;
-            placeholder.die = stack.monitor.site(i).die;
-            placeholder.location = stack.monitor.site(i).location;
-            placeholder.truth = stack.monitor.truth_at(i);
-            placeholder.degraded = true;  // no conversion behind it
-            frame.readings.push_back(placeholder);
-          }
-        }
-        if (config_.interceptor != nullptr) {
-          config_.interceptor->after_scan(k, scan, frame.readings);
-        }
-        auto result = stack.supervisor->observe(frame.readings, sampled);
-        for (const std::size_t i : result.recalibrate) {
-          // Forced recalibration on recovery: drop the latched process
-          // point; the next conversion self-calibrates afresh.
-          stack.monitor.sensor(i).clear_calibration();
-        }
-        for (auto& t : result.transitions) {
-          stack.transitions.push_back(std::move(t));
-        }
-        frame.readings = std::move(result.readings);
-      } else {
-        frame.readings = stack.monitor.sample_all(&stack.noise);
-        if (config_.interceptor != nullptr) {
-          config_.interceptor->after_scan(k, scan, frame.readings);
-        }
+      // Supervised stacks only convert the sites the supervisor asks for;
+      // the interceptor sees the raw scan before supervision.
+      std::function<void(std::vector<core::StackMonitor::SiteReading>&)> raw;
+      if (config_.interceptor != nullptr) {
+        raw = [&](std::vector<core::StackMonitor::SiteReading>& readings) {
+          config_.interceptor->after_scan(k, scan, readings);
+        };
       }
+      frame.readings = control::sample_scan(stack.monitor,
+                                            stack.supervisor.get(),
+                                            stack.noise, raw,
+                                            &stack.transitions);
       if (controller != nullptr) {
         // Post-supervision readings: the controller sees what the fleet
         // sees — substituted quarantine placeholders arrive flagged

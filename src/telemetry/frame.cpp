@@ -9,12 +9,9 @@
 namespace tsvpt::telemetry {
 namespace {
 
-// Header: magic, version, flags, stack_id, site_count, sequence, sim_time,
-// capture_ns.
-constexpr std::size_t kHeaderSize = 4 + 2 + 2 + 4 + 4 + 8 + 8 + 8;
+// Per-site record and trailing CRC (the header layout is in frame.hpp).
 constexpr std::size_t kSiteSize = 4 + 4 + 8 * 5 + 1 + 1;
 constexpr std::size_t kCrcSize = 4;
-constexpr std::size_t kStackIdOffset = 4 + 2 + 2;
 
 }  // namespace
 
@@ -41,7 +38,7 @@ bool Frame::operator==(const Frame& other) const {
 }
 
 std::size_t encoded_size(std::size_t site_count) {
-  return kHeaderSize + site_count * kSiteSize + kCrcSize;
+  return kFrameHeaderSize + site_count * kSiteSize + kCrcSize;
 }
 
 std::vector<std::uint8_t> encode(const Frame& frame) {
@@ -72,7 +69,7 @@ std::vector<std::uint8_t> encode(const Frame& frame) {
 
 DecodeResult decode(const std::uint8_t* data, std::size_t size) {
   DecodeResult result;
-  if (data == nullptr || size < kHeaderSize + kCrcSize) {
+  if (data == nullptr || size < kFrameHeaderSize + kCrcSize) {
     result.status = DecodeStatus::kTruncated;
     return result;
   }
@@ -158,8 +155,8 @@ DecodeResult decode(const std::vector<std::uint8_t>& buffer) {
 
 std::optional<std::uint32_t> peek_stack_id(
     const std::vector<std::uint8_t>& buffer) {
-  if (buffer.size() < kHeaderSize) return std::nullopt;
-  return get_u32(buffer.data() + kStackIdOffset);
+  if (buffer.size() < kFrameHeaderSize) return std::nullopt;
+  return get_u32(buffer.data() + kFrameStackIdOffset);
 }
 
 const char* to_string(DecodeStatus status) {

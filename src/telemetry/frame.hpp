@@ -19,6 +19,7 @@
 // it (a future wire version).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -39,6 +40,22 @@ inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::uint32_t kWireMagic = 0x54565354u;
 /// Decode-time sanity bound: no plausible stack carries more sites.
 inline constexpr std::uint32_t kMaxSiteCount = 1u << 16;
+
+// The fixed frame header.  The `layout:` / `field:` comments are wire-layout
+// lint directives (as in net/framing.hpp): tsvpt_lint checks the fields
+// start at 0, stay contiguous and sum to the header size.  Tools that
+// re-stamp a pre-encoded frame in place poke these offsets, then refresh
+// the trailing CRC.
+// layout: tsvt_header size=40
+inline constexpr std::size_t kFrameMagicOffset = 0;       // field: magic size=4
+inline constexpr std::size_t kFrameVersionOffset = 4;     // field: version size=2
+inline constexpr std::size_t kFrameFlagsOffset = 6;       // field: flags size=2
+inline constexpr std::size_t kFrameStackIdOffset = 8;     // field: stack_id size=4
+inline constexpr std::size_t kFrameSiteCountOffset = 12;  // field: site_count size=4
+inline constexpr std::size_t kFrameSequenceOffset = 16;   // field: sequence size=8
+inline constexpr std::size_t kFrameSimTimeOffset = 24;    // field: sim_time size=8
+inline constexpr std::size_t kFrameCaptureNsOffset = 32;  // field: capture_ns size=8
+inline constexpr std::size_t kFrameHeaderSize = 40;
 
 /// One scan of one stack, as transported on the wire.
 struct Frame {

@@ -200,11 +200,6 @@ void ThermalNetwork::add_hotspot(std::size_t die, process::Point center,
   }
 }
 
-void ThermalNetwork::scale_power(double factor) {
-  if (factor < 0.0) throw std::invalid_argument{"scale_power: negative"};
-  for (double& p : power_) p *= factor;
-}
-
 void ThermalNetwork::scale_die_power(std::size_t die, double factor) {
   if (factor < 0.0) {
     throw std::invalid_argument{"scale_die_power: negative"};

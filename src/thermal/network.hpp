@@ -46,11 +46,8 @@ class ThermalNetwork {
   /// `total` watts (normalized over the die).
   void add_hotspot(std::size_t die, process::Point center, Meter radius,
                    Watt total);
-  /// Scale every cell's power (used by throttling policies).  Does not
-  /// affect temperature-dependent (leakage) sources.
-  void scale_power(double factor);
-  /// Scale only one die's cells (per-die DVFS / gating actuation).  Like
-  /// scale_power, leakage sources are untouched.
+  /// Scale one die's cells (DVFS / gating actuation).  Does not affect
+  /// temperature-dependent (leakage) sources.
   void scale_die_power(std::size_t die, double factor);
   /// Add `total` watts spread uniformly over one die on top of whatever is
   /// already programmed (task-migration landing zone).

@@ -1,5 +1,5 @@
 // Controller-in-the-loop integration tests: runaway containment, graceful
-// degradation on sensor loss, the MonitoringSession actuation seam, and
+// degradation on sensor loss, closed versus open loop on one stack, and
 // thread-count invariance of a fleet chaos campaign.
 #include "control/eval.hpp"
 
@@ -14,7 +14,6 @@
 #include "inject/fault_plan.hpp"
 #include "inject/injectors.hpp"
 #include "process/variation.hpp"
-#include "sim/monitor_session.hpp"
 #include "telemetry/fleet_sampler.hpp"
 #include "thermal/leakage.hpp"
 #include "thermal/workload.hpp"
@@ -91,7 +90,7 @@ EvalResult run_runaway_scenario(PolicyKind kind, std::size_t static_level,
   Controller::Config cfg = loop_config(kind);
   cfg.policy.static_level = static_level;
   Controller controller{cfg, stack.die_count()};
-  return run_closed_loop(network, workload, monitor, controller, eval, 33);
+  return run_closed_loop(network, workload, monitor, &controller, eval, 33);
 }
 
 TEST(ControlLoop, GovernorContainsTheRunawayTheTopRungTrips) {
@@ -165,7 +164,7 @@ TEST(ControlLoop, QuarantinedFallbackNeverReadsTheDeadSite) {
       static_cast<std::uint8_t>(core::HealthState::kQuarantined);
   std::uint64_t blind_hot_scans = 0;
   std::uint64_t skipped_conversions = 0;
-  eval.on_scan = [&](std::uint64_t scan,
+  eval.on_scan = [&](std::uint64_t scan, Second,
                      const std::vector<core::StackMonitor::SiteReading>& rs,
                      const Actuation& act) {
     for (const core::StackMonitor::SiteReading& r : rs) {
@@ -189,14 +188,14 @@ TEST(ControlLoop, QuarantinedFallbackNeverReadsTheDeadSite) {
   };
 
   const EvalResult result =
-      run_closed_loop(network, workload, monitor, controller, eval, 515);
+      run_closed_loop(network, workload, monitor, &controller, eval, 515);
   EXPECT_GT(blind_hot_scans, 0u);
   EXPECT_GT(skipped_conversions, 0u);  // the skip path actually engaged
   EXPECT_GT(result.stats.blind_scans, 0u);
   EXPECT_DOUBLE_EQ(result.stats.violation_s, 0.0);
 }
 
-TEST(ControlLoop, SessionControllerSeamLowersPeakTemperature) {
+TEST(ControlLoop, ControllerLowersPeakTemperatureOverOpenLoop) {
   const thermal::StackConfig stack = thermal::StackConfig::four_die_stack();
   const thermal::Workload workload = top_die_workload(14.0);
 
@@ -204,19 +203,19 @@ TEST(ControlLoop, SessionControllerSeamLowersPeakTemperature) {
     thermal::ThermalNetwork network{stack};
     std::vector<core::SensorSite> sites = make_sites(stack, 7);
     core::StackMonitor monitor{&network, core::PtSensor::Config{}, sites, 9};
-    sim::MonitoringSession::Config cfg;
-    cfg.sample_period = Second{2e-3};
-    cfg.thermal_step = Second{1e-3};
-    cfg.start_at_steady_state = false;
-    cfg.controller = controller;
-    sim::MonitoringSession session{&network, &workload, &monitor, cfg, 13};
-    session.run(Second{300e-3});
+    EvalConfig eval;
+    eval.sample_period = Second{2e-3};
+    eval.thermal_step = Second{1e-3};
+    eval.max_duration = Second{300e-3};
     double peak = -273.15;
-    for (const sim::SamplePoint& p : session.trace()) {
-      for (const core::StackMonitor::SiteReading& r : p.readings) {
+    eval.on_scan = [&](std::uint64_t, Second,
+                       const std::vector<core::StackMonitor::SiteReading>& rs,
+                       const Actuation&) {
+      for (const core::StackMonitor::SiteReading& r : rs) {
         peak = std::max(peak, r.truth.value());
       }
-    }
+    };
+    (void)run_closed_loop(network, workload, monitor, controller, eval, 13);
     return peak;
   };
 

@@ -235,6 +235,40 @@ TEST(ControlPolicy, GatingTripsAndReleasesPerDie) {
   EXPECT_TRUE(act.dies[1].gated);
 }
 
+TEST(ControlPolicy, StackWideMovesEveryDieOnTheHottestReading) {
+  const PolicyConfig cfg = tight_config();
+  const auto guard =
+      stack_wide(make_policy(PolicyKind::kReactiveGating, cfg, 3));
+  EXPECT_STREQ(guard->name(), "stack-gating");
+
+  // One hot die trips the whole stack; the stack releases together.
+  Actuation act = guard->decide(obs_at({40, 70, 40}));
+  for (const DieCommand& cmd : act.dies) EXPECT_TRUE(cmd.gated);
+  act = guard->decide(obs_at({45, 45, 40}));
+  for (const DieCommand& cmd : act.dies) EXPECT_FALSE(cmd.gated);
+
+  // A blind die is covered by the others' readings; only a fully blind
+  // stack fails safe.
+  act = guard->decide(blind_die(obs_at({70, 40, 40}), 0));
+  for (const DieCommand& cmd : act.dies) EXPECT_FALSE(cmd.gated);
+  StackObservation dark = obs_at({40, 40, 40});
+  for (std::size_t d = 0; d < 3; ++d) dark = blind_die(dark, d);
+  act = guard->decide(dark);
+  for (const DieCommand& cmd : act.dies) EXPECT_TRUE(cmd.gated);
+
+  // Over dvfs every die sits on the same rung, walked by the hottest die.
+  const auto governor =
+      stack_wide(make_policy(PolicyKind::kDvfsLadder, cfg, 2));
+  const std::size_t bottom = cfg.ladder.size() - 1;
+  act = governor->decide(obs_at({20, 55}));  // dead band: hold the bottom
+  EXPECT_EQ(act.dies[0].level, bottom);
+  EXPECT_EQ(act.dies[1].level, bottom);
+  act = governor->decide(obs_at({20, 40}));
+  EXPECT_EQ(act.dies[0].level, bottom - 1);
+  EXPECT_EQ(act.dies[1].level, bottom - 1);
+  EXPECT_THROW((void)stack_wide(nullptr), std::invalid_argument);
+}
+
 TEST(ControlPolicy, MigrationNeverPingPongsBetweenEquallyHotDies) {
   const PolicyConfig cfg = tight_config();
   const auto policy = make_policy(PolicyKind::kMigration, cfg, 4);

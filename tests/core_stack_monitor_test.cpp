@@ -124,5 +124,22 @@ TEST(StackMonitor, SensorsHaveIndependentMismatch) {
             monitor.sensor(1).mismatch()[0].nmos.value());
 }
 
+TEST(StackMonitorSampleSite, MatchesSampleAllOrdering) {
+  thermal::ThermalNetwork net{stack_config()};
+  StackMonitor monitor{&net, PtSensor::Config{}, make_sites(stack_config()),
+                       44};
+  net.set_uniform_power(0, Watt{1.0});
+  net.set_temperatures(net.steady_state());
+  monitor.calibrate_all(nullptr);
+  const auto all = monitor.sample_all(nullptr);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const auto one = monitor.sample_site(i, nullptr);
+    EXPECT_EQ(one.site_index, all[i].site_index);
+    EXPECT_EQ(one.die, all[i].die);
+    EXPECT_DOUBLE_EQ(one.truth.value(), all[i].truth.value());
+  }
+  EXPECT_THROW((void)monitor.sample_site(99, nullptr), std::out_of_range);
+}
+
 }  // namespace
 }  // namespace tsvpt::core

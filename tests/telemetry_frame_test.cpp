@@ -10,10 +10,6 @@
 namespace tsvpt::telemetry {
 namespace {
 
-// Wire header offsets (see frame.hpp layout).
-constexpr std::size_t kVersionOffset = 4;
-constexpr std::size_t kSiteCountOffset = 12;
-
 Frame sample_frame() {
   Frame frame;
   frame.stack_id = 17;
@@ -61,6 +57,22 @@ TEST(TelemetryFrame, RoundTrip) {
   const DecodeResult result = decode(wire);
   ASSERT_EQ(result.status, DecodeStatus::kOk);
   EXPECT_TRUE(result.frame == original);
+}
+
+TEST(TelemetryFrame, NamedHeaderOffsetsMatchTheEncoder) {
+  const Frame frame = sample_frame();
+  const std::vector<std::uint8_t> wire = encode(frame);
+  ASSERT_GT(wire.size(), kFrameHeaderSize);
+  EXPECT_EQ(get_u32(wire.data() + kFrameMagicOffset), kWireMagic);
+  EXPECT_EQ(get_u16(wire.data() + kFrameVersionOffset), kWireVersion);
+  EXPECT_EQ(get_u32(wire.data() + kFrameStackIdOffset), frame.stack_id);
+  EXPECT_EQ(get_u32(wire.data() + kFrameSiteCountOffset),
+            frame.readings.size());
+  EXPECT_EQ(get_u64(wire.data() + kFrameSequenceOffset), frame.sequence);
+  EXPECT_EQ(get_f64(wire.data() + kFrameSimTimeOffset),
+            frame.sim_time.value());
+  EXPECT_EQ(get_u64(wire.data() + kFrameCaptureNsOffset), frame.capture_ns);
+  EXPECT_EQ(encoded_size(0), kFrameHeaderSize + 4);  // header + CRC
 }
 
 TEST(TelemetryFrame, EmptyScanRoundTrips) {
@@ -121,7 +133,7 @@ TEST(TelemetryFrame, UnknownVersionRejected) {
   // A well-formed frame from a *future* codec revision (valid CRC) must be
   // refused, not misparsed.
   std::vector<std::uint8_t> wire = encode(sample_frame());
-  wire[kVersionOffset] = static_cast<std::uint8_t>(kWireVersion + 1);
+  wire[kFrameVersionOffset] = static_cast<std::uint8_t>(kWireVersion + 1);
   refresh_crc(wire);
   EXPECT_EQ(decode(wire).status, DecodeStatus::kUnsupportedVersion);
 }
@@ -139,7 +151,7 @@ TEST(TelemetryFrame, AbsurdSiteCountRejected) {
   std::vector<std::uint8_t> wire = encode(sample_frame());
   const std::uint32_t absurd = kMaxSiteCount + 1;
   for (int i = 0; i < 4; ++i) {
-    wire[kSiteCountOffset + static_cast<std::size_t>(i)] =
+    wire[kFrameSiteCountOffset + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(absurd >> (8 * i));
   }
   refresh_crc(wire);

@@ -123,7 +123,7 @@ TEST(ThermalNetwork, ScalePowerLeavesLeakageAlone) {
                         Watt{0.01}, Kelvin{298.15}));
   net.set_uniform_temperature(Kelvin{298.15});
   const double leak_before = net.leakage_power().value();
-  net.scale_power(0.5);
+  net.scale_die_power(0, 0.5);
   EXPECT_NEAR(net.total_power().value(), 0.5, 1e-12);
   EXPECT_DOUBLE_EQ(net.leakage_power().value(), leak_before);
 }

@@ -156,9 +156,9 @@ TEST(ThermalNetwork, TsvsImproveVerticalCoupling) {
 TEST(ThermalNetwork, ScalePower) {
   ThermalNetwork net{small_stack()};
   net.set_uniform_power(0, Watt{2.0});
-  net.scale_power(0.25);
+  net.scale_die_power(0, 0.25);
   EXPECT_NEAR(net.total_power().value(), 0.5, 1e-12);
-  EXPECT_THROW(net.scale_power(-1.0), std::invalid_argument);
+  EXPECT_THROW(net.scale_die_power(0, -1.0), std::invalid_argument);
 }
 
 TEST(ThermalNetwork, InterpolationMatchesCellCenters) {

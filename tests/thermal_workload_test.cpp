@@ -90,6 +90,36 @@ TEST(Workload, BurstIdleHotspotMigrates) {
   EXPECT_GT(corner_a_first, corner_a_second);
 }
 
+TEST(Workload, BurstIdleLongerRunSharesThePrefix) {
+  // A fleet sizes its workload from the run length; a longer workload must
+  // select the same phase and program the same map at every time the
+  // shorter one covers (frames stay byte-identical).
+  const StackConfig cfg = two_die_stack();
+  const Second period{50e-3};
+  constexpr std::size_t kShort = 3;
+  const Workload shorter =
+      Workload::burst_idle(cfg, Watt{5.0}, Watt{0.25}, period, kShort);
+  const Workload longer =
+      Workload::burst_idle(cfg, Watt{5.0}, Watt{0.25}, period, 40);
+  ThermalNetwork a{cfg};
+  ThermalNetwork b{cfg};
+  const auto& die = cfg.dies[0];
+  for (double t = 0.0; t < kShort * period.value(); t += 0.25e-3) {
+    ASSERT_EQ(shorter.phase_at(Second{t}), longer.phase_at(Second{t}))
+        << "t = " << t;
+    shorter.apply(a, Second{t});
+    longer.apply(b, Second{t});
+    for (std::size_t d = 0; d < cfg.die_count(); ++d) {
+      for (std::size_t ix = 0; ix < die.nx; ++ix) {
+        for (std::size_t iy = 0; iy < die.ny; ++iy) {
+          ASSERT_EQ(a.cell_power(d, ix, iy).value(),
+                    b.cell_power(d, ix, iy).value());
+        }
+      }
+    }
+  }
+}
+
 TEST(Workload, BurstIdleValidation) {
   const StackConfig cfg = two_die_stack();
   EXPECT_THROW(

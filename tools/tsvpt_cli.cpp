@@ -109,6 +109,7 @@
 #include <thread>
 
 #include "control/controller.hpp"
+#include "control/eval.hpp"
 #include "control/policies.hpp"
 #include "core/stack_monitor.hpp"
 #include "device/tech_io.hpp"
@@ -126,7 +127,6 @@
 #include "ptsim/args.hpp"
 #include "ptsim/log.hpp"
 #include "ptsim/stats.hpp"
-#include "sim/monitor_session.hpp"
 #include "store/store.hpp"
 #include "telemetry/aggregator.hpp"
 #include "telemetry/fleet_sampler.hpp"
@@ -289,24 +289,34 @@ int cmd_trace(const Args& args) {
   }
   core::StackMonitor monitor{&network, core::PtSensor::Config{}, sites,
                              derive_seed(seed, 1)};
-  sim::MonitoringSession::Config session_cfg;
-  session_cfg.sample_period =
-      Second{args.get("sample-ms", 2.0) * 1e-3};
-  session_cfg.thermal_step = Second{0.5e-3};
-  sim::MonitoringSession session{&network, &workload, &monitor, session_cfg,
-                                 derive_seed(seed, 2)};
+  control::EvalConfig eval;
+  eval.sample_period = Second{args.get("sample-ms", 2.0) * 1e-3};
+  eval.thermal_step = Second{0.5e-3};
   const double duration_ms =
       args.get("duration-ms", workload.total_duration().value() * 1e3);
-  session.run(Second{duration_ms * 1e-3});
+  eval.max_duration = Second{duration_ms * 1e-3};
+  eval.start_at_steady_state = true;
+  Samples errors;
+  Joule energy{0.0};
+  std::size_t scans = 0;
+  eval.on_scan = [&](std::uint64_t, Second,
+                     const std::vector<core::StackMonitor::SiteReading>& rs,
+                     const control::Actuation&) {
+    ++scans;
+    for (const auto& r : rs) {
+      errors.add(r.error());
+      energy += r.energy;
+    }
+  };
+  (void)control::run_closed_loop(network, workload, monitor, nullptr, eval,
+                                 derive_seed(seed, 2));
 
-  const Samples errors = session.error_samples();
   std::printf("trace: %s, %.1f ms simulated, %zu scans of %zu sensors\n",
               trace.empty() ? "(built-in burst/idle)" : trace.c_str(),
-              duration_ms, session.trace().size(), monitor.site_count());
+              duration_ms, scans, monitor.site_count());
   std::printf("  tracking error: mean %+.3f, 3sigma %.3f, max |e| %.3f degC\n",
               errors.mean(), errors.three_sigma(), errors.max_abs());
-  std::printf("  sensing energy: %.1f nJ\n",
-              session.total_sensing_energy().value() * 1e9);
+  std::printf("  sensing energy: %.1f nJ\n", energy.value() * 1e9);
   return 0;
 }
 
